@@ -2,7 +2,7 @@
 //! frame codec.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use dat_chord::{sha1, ChordMsg, Id, NodeAddr, NodeRef};
+use dat_chord::{codec, sha1, ChordMsg, Id, NodeAddr, NodeRef};
 use dat_core::{AggPartial, DatMsg};
 use std::hint::black_box;
 
@@ -51,23 +51,23 @@ fn bench_udp_frame(c: &mut Criterion) {
         origin: nr(9),
         hops: 5,
     };
-    let frame = dat_rpc::encode(&msg);
+    let frame = codec::encode(&msg);
     let mut g = c.benchmark_group("udp_frame");
     g.bench_function("encode_find_successor", |b| {
-        b.iter(|| dat_rpc::encode(black_box(&msg)));
+        b.iter(|| codec::encode(black_box(&msg)));
     });
     g.bench_function("decode_find_successor", |b| {
-        b.iter(|| dat_rpc::decode(black_box(&frame)).unwrap());
+        b.iter(|| codec::decode(black_box(&frame)).unwrap());
     });
     let app = ChordMsg::App {
         proto: 1,
         from: nr(3),
         payload: vec![0u8; 1024].into(),
     };
-    let app_frame = dat_rpc::encode(&app);
+    let app_frame = codec::encode(&app);
     g.throughput(Throughput::Bytes(app_frame.len() as u64));
     g.bench_function("roundtrip_app_1k", |b| {
-        b.iter(|| dat_rpc::decode(&dat_rpc::encode(black_box(&app))).unwrap());
+        b.iter(|| codec::decode(&codec::encode(black_box(&app))).unwrap());
     });
     g.finish();
 }

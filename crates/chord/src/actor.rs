@@ -1,7 +1,7 @@
 //! The single transport-facing actor interface.
 //!
-//! Both drivers — the deterministic simulator (`dat-sim`) and the UDP RPC
-//! cluster (`dat-rpc`) — host protocol state machines through this one
+//! Both drivers — the deterministic simulator (`dat-sim`) and the real-UDP
+//! host (`dat-cluster`) — host protocol state machines through this one
 //! trait. An actor is addressed, consumes [`Input`]s and emits [`Output`]s,
 //! and has its clock advanced by the driver before every delivery. The one
 //! implementation in the workspace is `dat-core`'s `StackNode`, the
@@ -14,8 +14,8 @@ use crate::msg::{Input, Output};
 
 /// A hosted protocol endpoint, as seen by a transport.
 ///
-/// `Send + 'static` so the same object can be moved onto the UDP cluster's
-/// per-node worker threads; the simulator needs neither bound but accepts
+/// `Send + 'static` so the same object can be moved onto the UDP host's
+/// per-node actor task; the simulator needs neither bound but accepts
 /// them for the sake of one shared vocabulary.
 pub trait Actor: Send + 'static {
     /// The transport address this actor must be reachable at.

@@ -10,7 +10,7 @@
 //! frames.
 //!
 //! The codec lives next to the message type so every host can reach it:
-//! `dat-rpc` uses it to frame UDP datagrams, and the simulator's codec
+//! `dat-cluster` uses it to frame UDP datagrams, and the simulator's codec
 //! parity mode round-trips each delivered message through it to prove that
 //! zero-copy in-memory delivery and wire delivery agree byte for byte.
 

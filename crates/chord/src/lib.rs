@@ -18,7 +18,7 @@
 //! The protocol core ([`node::ChordNode`]) is sans-io: it consumes
 //! [`msg::Input`]s and emits [`msg::Output`]s and never touches a socket or
 //! a clock, so the identical code runs under the discrete-event simulator
-//! (`dat-sim`) and the UDP RPC transport (`dat-rpc`) — mirroring the
+//! (`dat-sim`) and the real-UDP host (`dat-cluster`) — mirroring the
 //! paper's prototype architecture.
 //!
 //! For analysis there is also a global-view [`ring::StaticRing`] that

@@ -2,7 +2,7 @@
 //!
 //! The protocol core ([`crate::node::ChordNode`]) is a pure state machine:
 //! it consumes [`Input`]s and emits [`Output`]s. Hosts — the discrete-event
-//! simulator (`dat-sim`) or the UDP reactor (`dat-rpc`) — interpret the
+//! simulator (`dat-sim`) or the real-UDP host (`dat-cluster`) — interpret the
 //! outputs. This mirrors the paper's prototype, where the same Chord/DAT
 //! layers run over either an RPC manager or a simulation engine (§4).
 

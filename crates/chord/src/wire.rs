@@ -2,8 +2,8 @@
 //!
 //! One `Writer`/`Reader` pair and one error vocabulary for every hand-rolled
 //! codec in the workspace: the DAT application codec (`dat-core`), the MAAN
-//! discovery codec (`dat-maan`) and the UDP datagram framing (`dat-rpc`) all
-//! build on these primitives instead of maintaining parallel copies. The
+//! discovery codec (`dat-maan`) and the UDP datagram framing
+//! ([`crate::codec`]) all build on these primitives instead of maintaining parallel copies. The
 //! format is little-endian, TLV-free, length-prefixed where variable.
 //!
 //! The module also owns the workspace's frame checksum: a table-driven

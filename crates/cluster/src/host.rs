@@ -12,16 +12,17 @@
 //! [`dat_chord::codec`]; failures are classified by kind and forwarded to
 //! the actor as [`Input::BadFrame`] with source-address attribution, so
 //! the engine's per-peer scoring and quarantine pipeline runs over real
-//! UDP exactly as in the simulator and the blocking transport. The actor
-//! task owns a private timer heap — `Output::SetTimer` never leaves the
-//! task, so timer delivery cannot reorder against the inputs that set it.
+//! UDP exactly as in the simulator. The actor task owns a private timer
+//! heap — `Output::SetTimer` never leaves the task, so timer delivery
+//! cannot reorder against the inputs that set it.
 //!
-//! Drain contract (identical to `dat_rpc::RpcCluster` after its cleanup):
-//! `shutdown` enqueues a `Stop` marker on the reliable control plane and
-//! raises the stop flag. Each actor finishes everything queued before its
-//! marker, then returns itself; readers observe the flag within one
-//! `socket_poll`; writers flush every frame the actors produced and exit
-//! when the outbox closes. No task outlives `shutdown`.
+//! Drain contract: `shutdown` enqueues a `Stop` marker on the reliable
+//! control plane and raises the stop flag. Each actor finishes everything
+//! queued before its marker, then returns itself; readers observe the flag
+//! within one `SOCKET_POLL`; writers flush every frame the actors
+//! produced and exit when the outbox closes. No task outlives `shutdown`,
+//! and dropping the host without it runs the same teardown, so every node
+//! socket is released either way.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::net::SocketAddr;
@@ -41,6 +42,15 @@ use tokio::sync::mpsc::error::TrySendError;
 /// (one counter slot per [`dat_chord::wire::ERROR_KINDS`] label).
 const KINDS: usize = ERROR_KINDS.len();
 
+/// How often an idle reader wakes to check for shutdown — the upper bound
+/// on how long readers linger after the stop flag is raised.
+const SOCKET_POLL: Duration = Duration::from_millis(100);
+
+/// How long [`ClusterHost::call`] waits for the actor's answer. The
+/// control channel is reliable, so the wait only expires when the actor
+/// task is genuinely backed up.
+const CALL_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Runtime knobs for [`ClusterHost`].
 #[derive(Clone, Copy, Debug)]
 pub struct HostConfig {
@@ -52,16 +62,9 @@ pub struct HostConfig {
     /// Bound of each node's actor→writer channel. A full outbox sheds the
     /// frame and counts it (`engine_shed_total{layer="transport_tx"}`).
     pub outbox_capacity: usize,
-    /// How often an idle reader wakes to check for shutdown — the upper
-    /// bound on how long readers linger after `shutdown`.
-    pub socket_poll: Duration,
     /// Cap on how long an actor task sleeps between timer-heap sweeps,
     /// which caps how late a timer can fire.
     pub timer_granularity: Duration,
-    /// How long one [`ClusterHost::call`] wait round lasts.
-    pub call_timeout: Duration,
-    /// Extra wait rounds `call` spends after the first before giving up.
-    pub call_retries: u32,
 }
 
 impl Default for HostConfig {
@@ -70,10 +73,7 @@ impl Default for HostConfig {
             worker_threads: 0,
             inbox_capacity: 1024,
             outbox_capacity: 1024,
-            socket_poll: Duration::from_millis(100),
             timer_granularity: Duration::from_millis(50),
-            call_timeout: Duration::from_secs(10),
-            call_retries: 0,
         }
     }
 }
@@ -157,22 +157,6 @@ impl HostStats {
     }
 }
 
-/// Build the transport-level metric registry for a stats snapshot, in
-/// the shared [`dat_obs::transport`] vocabulary. All series are
-/// zero-initialized so a fresh cluster already exposes everything.
-pub(crate) fn stats_registry(transport: &'static str, s: &HostStats) -> Registry {
-    dat_obs::transport_registry(&dat_obs::TransportCounters {
-        transport,
-        sent: s.sent,
-        received: s.received,
-        decode_errors_by_kind: s.decode_error_kinds().to_vec(),
-        shed_rx: s.shed_rx,
-        shed_tx: s.shed_tx,
-        socket_recv_errors: s.socket_recv_errors,
-        socket_send_errors: s.socket_send_errors,
-    })
-}
-
 /// A running cluster of UDP-backed protocol nodes on a tokio runtime.
 pub struct ClusterHost<A: Actor> {
     inboxes: HashMap<NodeAddr, mpsc::Sender<Control<A>>>,
@@ -184,7 +168,6 @@ pub struct ClusterHost<A: Actor> {
     upcalls: Arc<Mutex<Vec<(NodeAddr, Upcall)>>>,
     stop: Arc<AtomicBool>,
     counters: Arc<Counters>,
-    cfg: HostConfig,
     // Dropped last (declaration order): tasks and sockets must unwind
     // while the executor, timer and reactor threads still run.
     runtime: tokio::runtime::Runtime,
@@ -259,7 +242,6 @@ impl<A: Actor> ClusterHost<A> {
                 Arc::clone(&stop),
                 Arc::clone(&counters),
                 Arc::clone(&rev_book),
-                cfg.socket_poll,
             )));
             writer_tasks.push(runtime.spawn(writer_task(
                 Arc::clone(&sockets[i]),
@@ -289,7 +271,6 @@ impl<A: Actor> ClusterHost<A> {
             upcalls,
             stop,
             counters,
-            cfg,
             runtime,
         })
     }
@@ -337,7 +318,8 @@ impl<A: Actor> ClusterHost<A> {
         }
     }
 
-    /// Run `f` against the actor at `addr` and wait for its return value.
+    /// Run `f` against the actor at `addr` and wait for its return value;
+    /// `None` if the actor does not answer within `CALL_TIMEOUT`.
     pub fn call<R, F>(&self, addr: NodeAddr, f: F) -> Option<R>
     where
         R: Send + 'static,
@@ -350,14 +332,7 @@ impl<A: Actor> ClusterHost<A> {
             let _ = rtx.send(r);
             outs
         })));
-        // The control channel is reliable; a round only expires when the
-        // actor task is genuinely backed up.
-        for _ in 0..=self.cfg.call_retries {
-            if let Ok(r) = rrx.recv_timeout(self.cfg.call_timeout) {
-                return Some(r);
-            }
-        }
-        None
+        rrx.recv_timeout(CALL_TIMEOUT).ok()
     }
 
     /// Drain the recorded upcalls of every node.
@@ -388,25 +363,44 @@ impl<A: Actor> ClusterHost<A> {
     /// and socket-error counters plus `engine_shed_total` transport
     /// layers, every series zero-initialized (`transport="tokio"`).
     pub fn transport_registry(&self) -> Registry {
-        stats_registry("tokio", &self.stats())
+        let s = self.stats();
+        dat_obs::transport_registry(&dat_obs::TransportCounters {
+            transport: "tokio",
+            sent: s.sent,
+            received: s.received,
+            decode_errors_by_kind: s.decode_error_kinds().to_vec(),
+            shed_rx: s.shed_rx,
+            shed_tx: s.shed_tx,
+            socket_recv_errors: s.socket_recv_errors,
+            socket_send_errors: s.socket_send_errors,
+        })
     }
 
     /// Stop every task, drain the planes, and return the actors.
+    pub fn shutdown(mut self) -> Vec<A> {
+        let mut actors = self.stop_all();
+        actors.sort_by_key(|a| a.addr());
+        actors
+    }
+
+    /// Teardown shared by `shutdown` and `Drop`.
     ///
     /// Order matters: the `Stop` markers ride the reliable control plane
     /// behind any queued datagrams, so each actor finishes its backlog
-    /// first; the stop flag bounds reader exit to one `socket_poll`; the
+    /// first; the stop flag bounds reader exit to one [`SOCKET_POLL`]; the
     /// writers flush everything the actors produced before their outboxes
-    /// close. The runtime itself shuts down when the host drops.
-    pub fn shutdown(mut self) -> Vec<A> {
-        for tx in self.inboxes.values() {
+    /// close. Once every task has returned, no `Arc` of a node socket is
+    /// left outside the host, so the sockets close with it. Idempotent:
+    /// a second run finds nothing left to stop.
+    fn stop_all(&mut self) -> Vec<A> {
+        for (_, tx) in self.inboxes.drain() {
             let _ = tx.blocking_send(Control::Stop);
         }
         self.stop.store(true, Ordering::Relaxed);
         let actor_handles = std::mem::take(&mut self.actors);
         let reader_handles = std::mem::take(&mut self.readers);
         let writer_handles = std::mem::take(&mut self.writers);
-        let mut actors = self.runtime.block_on(async move {
+        self.runtime.block_on(async move {
             let mut out = Vec::with_capacity(actor_handles.len());
             for h in actor_handles {
                 if let Ok(a) = h.await {
@@ -420,9 +414,16 @@ impl<A: Actor> ClusterHost<A> {
                 let _ = h.await;
             }
             out
-        });
-        actors.sort_by_key(|a| a.addr());
-        actors
+        })
+    }
+}
+
+impl<A: Actor> Drop for ClusterHost<A> {
+    /// Dropping a host without `shutdown` must not leak its tasks: a task
+    /// parked on the reactor or a timer would otherwise keep its node's
+    /// socket bound after the runtime is gone.
+    fn drop(&mut self) {
+        let _ = self.stop_all();
     }
 }
 
@@ -433,11 +434,10 @@ async fn reader_task<A: Actor>(
     stop: Arc<AtomicBool>,
     counters: Arc<Counters>,
     sources: Arc<HashMap<SocketAddr, NodeAddr>>,
-    socket_poll: Duration,
 ) {
     let mut buf = vec![0u8; codec::MAX_FRAME];
     loop {
-        match tokio::time::timeout(socket_poll, sock.recv_from(&mut buf)).await {
+        match tokio::time::timeout(SOCKET_POLL, sock.recv_from(&mut buf)).await {
             Err(_) => {
                 if stop.load(Ordering::Relaxed) {
                     break;
@@ -644,6 +644,76 @@ mod tests {
         assert!(stats.sent > 0 && stats.received > 0);
         assert_eq!(stats.decode_errors, 0);
         assert_eq!(stats.shed_rx, 0);
+    }
+
+    #[test]
+    fn join_succeeds_only_with_datagram_retransmission() {
+        // The bootstrap activates ~250 ms late: the joiner's first
+        // FindSuccessor lands while it is still `Created` and is
+        // protocol-dropped. With a single protocol-level join attempt
+        // (max_join_retries: 1), only RTO-driven datagram retransmission
+        // can complete the join — the no-retry config must surface
+        // JoinFailed instead.
+        let run = |max_retries: u32| {
+            let cfg = ChordConfig {
+                max_retries,
+                max_join_retries: 1,
+                ..fast_cfg()
+            };
+            let a = ChordNode::new(cfg, Id(1_000), NodeAddr(0));
+            let b = ChordNode::new(cfg, Id(2_000_000), NodeAddr(1));
+            let cluster = ClusterHost::launch(vec![a, b]).unwrap();
+            let bootstrap = NodeRef::new(Id(1_000), NodeAddr(0));
+            cluster.cast(NodeAddr(1), move |n| n.start_join(bootstrap));
+            std::thread::sleep(Duration::from_millis(250));
+            cluster.cast(NodeAddr(0), |n| n.start_create());
+            let deadline = Instant::now() + Duration::from_secs(8);
+            let (mut joined, mut failed) = (false, false);
+            while Instant::now() < deadline && !joined && !failed {
+                std::thread::sleep(Duration::from_millis(50));
+                for (addr, u) in cluster.drain_upcalls() {
+                    if addr == NodeAddr(1) {
+                        match u {
+                            Upcall::Joined { .. } => joined = true,
+                            Upcall::JoinFailed => failed = true,
+                            _ => {}
+                        }
+                    }
+                }
+            }
+            cluster.shutdown();
+            (joined, failed)
+        };
+        let (joined, _) = run(2);
+        assert!(
+            joined,
+            "retransmission should recover the dropped join request"
+        );
+        let (joined, failed) = run(0);
+        assert!(
+            !joined && failed,
+            "single-shot join through a sleeping bootstrap must fail (joined={joined}, failed={failed})"
+        );
+    }
+
+    #[test]
+    fn drop_without_shutdown_releases_every_socket() {
+        let a = ChordNode::new(fast_cfg(), Id(1_000), NodeAddr(0));
+        let b = ChordNode::new(fast_cfg(), Id(2_000_000), NodeAddr(1));
+        let cluster = ClusterHost::launch(vec![a, b]).unwrap();
+        cluster.cast(NodeAddr(0), |n| n.start_create());
+        std::thread::sleep(Duration::from_millis(100));
+        let addrs: Vec<SocketAddr> = (0..2)
+            .map(|i| cluster.socket_addr(NodeAddr(i)).unwrap())
+            .collect();
+        drop(cluster);
+        // Every reader, actor and writer task holds its node's socket;
+        // only a teardown that ends them all frees the addresses.
+        for addr in addrs {
+            if let Err(e) = std::net::UdpSocket::bind(addr) {
+                panic!("Drop must release node socket {addr}: {e}");
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! # dat-cluster — async UDP cluster host and real-network harness
 //!
-//! The third [`dat_chord::Actor`] host, next to the discrete-event
-//! simulator (`dat_sim::SimNet`) and the thread-per-node blocking
-//! transport (`dat_rpc::RpcCluster`): every node becomes a trio of tokio
+//! The real-network [`dat_chord::Actor`] host, next to the discrete-event
+//! simulator (`dat_sim::SimNet`): every node becomes a trio of tokio
 //! tasks (socket reader, actor, socket writer) around one UDP socket,
 //! connected by **bounded** mpsc channels. Tasks are cheap enough that a
 //! single process hosts a thousand-plus real nodes — the scale of the
@@ -16,8 +15,8 @@
 //! `engine_shed_total{layer}` vocabulary (`transport_rx`/`transport_tx`);
 //! the control plane (`call`/`cast`/shutdown) uses waiting sends and is
 //! never shed. The sans-io engine is hosted untouched — the same codec,
-//! `BadFrame` attribution and quarantine pipeline as the other two hosts,
-//! which is what makes three-way transport parity testable.
+//! `BadFrame` attribution and quarantine pipeline as the simulator, which
+//! is what makes simulator-vs-UDP transport parity testable.
 //!
 //! * [`host::ClusterHost`] — the transport: launch, drive, scrape,
 //!   drain/shutdown;

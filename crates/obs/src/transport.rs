@@ -1,6 +1,6 @@
 //! Shared registry vocabulary for transport-level counters.
 //!
-//! Every `Actor` host (the blocking UDP reactor, the tokio cluster host)
+//! Every `Actor` host that owns real sockets (today the tokio cluster host)
 //! counts the same things: datagrams in/out, decode failures by kind,
 //! socket errors by operation, and frames shed at the transport edge.
 //! This helper turns one snapshot of those counters into a [`Registry`]

@@ -38,7 +38,7 @@
 //! `(at, seq)` minimum across lanes. Because every lane is itself a wheel
 //! obeying the `(at, seq)` contract, the merge only has to compare lane
 //! heads — `at` from the cached `next_at`, and, among lanes tied at the
-//! minimal `at`, the head `seq` exposed by [`Wheel::peek_key`]. Each lane
+//! minimal `at`, the head `seq` exposed by `Wheel::peek_key`. Each lane
 //! keeps a private cursor that is only ever advanced to the merge winner's
 //! firing time, so no lane runs ahead of the queue's public clock and a
 //! later push can never land in a lane's past. This is the single-threaded

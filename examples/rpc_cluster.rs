@@ -1,6 +1,6 @@
 //! Real-network DAT: a cluster of nodes over loopback UDP sockets (the
 //! paper's RPC-based deployment, §4/§5.1 — it ran 64 instances per machine;
-//! we run them in one process, one real socket each).
+//! we run them in one process on the tokio host, one real socket each).
 //!
 //! Nodes join the ring live (with identifier probing), the overlay
 //! stabilizes in wall-clock time, then an on-demand aggregate query fans
@@ -13,8 +13,8 @@
 use std::time::{Duration, Instant};
 
 use libdat::chord::{ChordConfig, IdSpace, NodeAddr, NodeStatus};
+use libdat::cluster::ClusterHost;
 use libdat::core::{AggFunc, AggregationMode, DatConfig, DatEvent, DatProtocol, StackNode};
-use libdat::rpc::RpcCluster;
 use rand::{Rng, SeedableRng};
 
 fn main() {
@@ -49,7 +49,7 @@ fn main() {
         actors.push(node);
     }
     let key = libdat::chord::hash_to_id(ccfg.space, b"cpu-usage");
-    let cluster = RpcCluster::launch(actors).expect("bind sockets");
+    let cluster = ClusterHost::launch(actors).expect("bind sockets");
     println!("launched {n} nodes on loopback UDP");
 
     // Node 0 creates the ring; the rest join through it (sequentially, as

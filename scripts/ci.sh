@@ -39,6 +39,13 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+echo "==> benchmark build: perfbench against the library crates"
+# perfbench is its own package (not a workspace member), so the steps
+# above never compile it; build it here so a public API change in the
+# crates it links (chord, core, sim, maan, monitor, cluster, obs) breaks
+# CI instead of the benchmark. --locked: its Cargo.lock is committed.
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> repro smoke: fig8a with tracing on; the fleet Prometheus dump must parse"
 # --metrics merges every node's registry and validates the exposition
 # (non-empty, grammar, no duplicate series); --check turns a validation
@@ -142,7 +149,7 @@ cargo run --release -p dat-cluster --bin clusterd -- \
 echo "==> examples build"
 cargo build --release --examples
 
-echo "==> examples smoke: quickstart (sim) + rpc_cluster (UDP, 8 nodes)"
+echo "==> examples smoke: quickstart (sim) + rpc_cluster (tokio UDP host, 8 nodes)"
 cargo run --release --example quickstart
 cargo run --release --example rpc_cluster -- 8
 

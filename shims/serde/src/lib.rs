@@ -2,7 +2,7 @@
 //!
 //! The workspace uses serde only as inert `#[derive(serde::Serialize,
 //! serde::Deserialize)]` annotations — all wire encoding is hand-written
-//! (see `crates/core/src/codec.rs` and `crates/rpc/src/codec.rs`), so no
+//! (see `crates/core/src/codec.rs` and `crates/chord/src/codec.rs`), so no
 //! code ever calls serde's traits. With no network access to crates.io,
 //! this crate supplies derive macros of the same names that expand to
 //! nothing, keeping the annotations compiling (and keeping the door open

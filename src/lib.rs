@@ -13,10 +13,11 @@
 //!   hosting [`core::AppProtocol`] handlers) with continuous and on-demand
 //!   aggregation, the centralized and explicit-tree baselines, and the
 //!   paper's closed-form theory;
-//! * [`sim`] — the discrete-event engine (heap queue, virtual time,
-//!   latency/loss models) and overlay-building harness;
-//! * [`rpc`] — the UDP transport running the same sans-io nodes over real
-//!   sockets;
+//! * [`sim`] — the discrete-event engine (hierarchical timer wheel,
+//!   virtual time, latency/loss models) and overlay-building harness;
+//! * [`cluster`] — the real-UDP host running the same sans-io nodes over
+//!   loopback sockets on a task-per-node tokio runtime, plus a 1k-node
+//!   harness;
 //! * [`maan`] — the multi-attribute addressable network indexing layer;
 //! * [`monitor`] — the P-GMA monitoring stack (sensors → producers →
 //!   aggregation → consumers) with the synthetic CPU-usage trace;
@@ -59,5 +60,4 @@ pub use dat_core as core;
 pub use dat_maan as maan;
 pub use dat_monitor as monitor;
 pub use dat_obs as obs;
-pub use dat_rpc as rpc;
 pub use dat_sim as sim;

@@ -13,9 +13,9 @@ use std::time::{Duration, Instant};
 use libdat::chord::{
     ChordConfig, Id, IdPolicy, IdSpace, NodeAddr, NodeStatus, RoutingScheme, StaticRing, Upcall,
 };
+use libdat::cluster::ClusterHost;
 use libdat::core::{AggregationMode, DatConfig, DatEvent, DatProtocol, StackNode};
 use libdat::obs::{digest_events, mix64, trace_id_for, validate_prometheus, EpochTrace};
-use libdat::rpc::RpcCluster;
 use libdat::sim::harness::{addr_book, prestabilized_dat};
 use libdat::sim::{fleet_events, SimNet};
 use rand::SeedableRng;
@@ -220,7 +220,7 @@ fn stats_are_served_over_udp() {
         node.set_local(key, i as f64);
         nodes.push(node);
     }
-    let cluster = RpcCluster::launch(nodes).expect("bind loopback sockets");
+    let cluster = ClusterHost::launch(nodes).expect("bind loopback sockets");
     let bootstrap = cluster
         .call(NodeAddr(0), |node| (node.me(), node.start_create()))
         .unwrap();

@@ -333,7 +333,7 @@ fn udp_codec_never_panics_on_garbage() {
     for _ in 0..CASES * 4 {
         let len = rng.random_range(0usize..200);
         let bytes: Vec<u8> = (0..len).map(|_| rng.random::<u8>()).collect();
-        let _ = libdat::rpc::decode(&bytes);
+        let _ = libdat::chord::codec::decode(&bytes);
     }
 }
 

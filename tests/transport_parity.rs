@@ -1,18 +1,14 @@
 //! Integration: transport parity — the identical 8-node scenario (live
 //! joins, continuous DAT aggregation, an on-demand query, MAAN register +
 //! range discovery, all on the same `StackNode`s) yields the same answers
-//! whether the stack runs over the discrete-event simulator, over real
-//! loopback UDP driven by the blocking thread-per-node reactor, or over
-//! the async tokio host. This is the paper's §5.1 claim ("both RPC-based
-//! and simulator-based setups … have the consistent results") for the
-//! whole protocol stack, not just the DAT — three-way, since the repo now
-//! carries three `Actor` hosts.
+//! whether the stack runs over the discrete-event simulator or over real
+//! loopback UDP on the tokio host. This is the paper's §5.1 claim ("both
+//! RPC-based and simulator-based setups … have the consistent results")
+//! for the whole protocol stack, not just the DAT.
 
 use std::time::{Duration, Instant};
 
-use libdat::chord::{
-    ChordConfig, HealthConfig, Id, IdSpace, NodeAddr, NodeStatus, Output, SuspicionLevel,
-};
+use libdat::chord::{ChordConfig, HealthConfig, Id, IdSpace, NodeAddr, NodeStatus, SuspicionLevel};
 use libdat::cluster::ClusterHost;
 use libdat::core::{
     AggFunc, AggregationMode, DatConfig, DatEvent, DatProtocol, StackNode, DAT_PROTO,
@@ -20,98 +16,10 @@ use libdat::core::{
 use libdat::maan::{MaanEvent, MaanProtocol, MaanStack, Resource};
 use libdat::monitor::grid_schemas;
 use libdat::obs::{fnv1a, Event, EventKind};
-use libdat::rpc::RpcCluster;
 use libdat::sim::{CorruptMode, FaultPlan, SimNet};
 use rand::{Rng, SeedableRng};
 
 const N: usize = 8;
-
-/// The slice of host API the parity scenario needs, so the same UDP leg
-/// runs unchanged over the blocking reactor and the tokio host. Both real
-/// transports expose the identical surface — that sameness is itself part
-/// of the parity claim.
-trait UdpHost: Sized {
-    /// Human label for assertion messages.
-    const NAME: &'static str;
-    fn launch(nodes: Vec<StackNode>) -> std::io::Result<Self>;
-    fn call<R, F>(&self, addr: NodeAddr, f: F) -> Option<R>
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut StackNode) -> (R, Vec<Output>) + Send + 'static;
-    fn cast<F>(&self, addr: NodeAddr, f: F)
-    where
-        F: FnOnce(&mut StackNode) -> Vec<Output> + Send + 'static;
-    fn send_raw(&self, from: NodeAddr, to: NodeAddr, bytes: &[u8]) -> std::io::Result<()>;
-    /// `(decode_errors, sum over per-kind counters)` — the two must agree.
-    fn decode_error_counts(&self) -> (u64, u64);
-    fn stop(self);
-}
-
-impl UdpHost for RpcCluster<StackNode> {
-    const NAME: &'static str = "threads";
-    fn launch(nodes: Vec<StackNode>) -> std::io::Result<Self> {
-        RpcCluster::launch(nodes)
-    }
-    fn call<R, F>(&self, addr: NodeAddr, f: F) -> Option<R>
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut StackNode) -> (R, Vec<Output>) + Send + 'static,
-    {
-        RpcCluster::call(self, addr, f)
-    }
-    fn cast<F>(&self, addr: NodeAddr, f: F)
-    where
-        F: FnOnce(&mut StackNode) -> Vec<Output> + Send + 'static,
-    {
-        RpcCluster::cast(self, addr, f)
-    }
-    fn send_raw(&self, from: NodeAddr, to: NodeAddr, bytes: &[u8]) -> std::io::Result<()> {
-        RpcCluster::send_raw(self, from, to, bytes)
-    }
-    fn decode_error_counts(&self) -> (u64, u64) {
-        let stats = self.stats();
-        (
-            stats.decode_errors,
-            stats.decode_errors_by_kind.iter().sum(),
-        )
-    }
-    fn stop(self) {
-        self.shutdown();
-    }
-}
-
-impl UdpHost for ClusterHost<StackNode> {
-    const NAME: &'static str = "tokio";
-    fn launch(nodes: Vec<StackNode>) -> std::io::Result<Self> {
-        ClusterHost::launch(nodes)
-    }
-    fn call<R, F>(&self, addr: NodeAddr, f: F) -> Option<R>
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut StackNode) -> (R, Vec<Output>) + Send + 'static,
-    {
-        ClusterHost::call(self, addr, f)
-    }
-    fn cast<F>(&self, addr: NodeAddr, f: F)
-    where
-        F: FnOnce(&mut StackNode) -> Vec<Output> + Send + 'static,
-    {
-        ClusterHost::cast(self, addr, f)
-    }
-    fn send_raw(&self, from: NodeAddr, to: NodeAddr, bytes: &[u8]) -> std::io::Result<()> {
-        ClusterHost::send_raw(self, from, to, bytes)
-    }
-    fn decode_error_counts(&self) -> (u64, u64) {
-        let stats = self.stats();
-        (
-            stats.decode_errors,
-            stats.decode_error_kinds().iter().map(|(_, c)| c).sum(),
-        )
-    }
-    fn stop(self) {
-        self.shutdown();
-    }
-}
 
 fn chord_cfg() -> ChordConfig {
     ChordConfig {
@@ -342,7 +250,7 @@ fn run_in_simulator() -> Answers {
 }
 
 /// Wait for every node to be active with a closed successor ring.
-fn wait_udp_ring<H: UdpHost>(cluster: &H) {
+fn wait_udp_ring(cluster: &ClusterHost<StackNode>) {
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
         let mut infos = Vec::new();
@@ -376,9 +284,9 @@ fn wait_udp_ring<H: UdpHost>(cluster: &H) {
     }
 }
 
-fn run_over_udp<H: UdpHost>() -> Answers {
+fn run_over_udp() -> Answers {
     let (nodes, key) = build_nodes();
-    let cluster = H::launch(nodes).expect("bind loopback sockets");
+    let cluster = ClusterHost::launch(nodes).expect("bind loopback sockets");
     let bootstrap = cluster
         .call(NodeAddr(0), |node| (node.me(), node.start_create()))
         .unwrap();
@@ -469,9 +377,12 @@ fn run_over_udp<H: UdpHost>() -> Answers {
     }
     health_shed.sort();
 
-    let (decode_errors, _) = cluster.decode_error_counts();
-    assert_eq!(decode_errors, 0, "{} leg saw decode errors", H::NAME);
-    cluster.stop();
+    assert_eq!(
+        cluster.stats().decode_errors,
+        0,
+        "UDP leg saw decode errors"
+    );
+    cluster.shutdown();
     Answers {
         dat_count: partial.count,
         dat_sum: partial.finalize(AggFunc::Sum),
@@ -589,12 +500,12 @@ fn hostile_in_simulator() -> HostileVerdict {
     hostile_verdict(net.node(victim).expect("victim alive"), attacker.id, count)
 }
 
-fn hostile_over_udp<H: UdpHost>() -> HostileVerdict {
+fn hostile_over_udp() -> HostileVerdict {
     let (mut nodes, key) = build_nodes();
     for n in &mut nodes {
         n.set_health_config(hostile_health_cfg());
     }
-    let cluster = H::launch(nodes).expect("bind loopback sockets");
+    let cluster = ClusterHost::launch(nodes).expect("bind loopback sockets");
     let bootstrap = cluster
         .call(NodeAddr(0), |node| (node.me(), node.start_create()))
         .unwrap();
@@ -686,13 +597,16 @@ fn hostile_over_udp<H: UdpHost>() -> HostileVerdict {
         std::thread::sleep(Duration::from_millis(500));
     };
 
-    let (decode_errors, by_kind_sum) = cluster.decode_error_counts();
-    assert!(decode_errors > 0, "no damage ever reached the wire");
+    let stats = cluster.stats();
+    assert!(stats.decode_errors > 0, "no damage ever reached the wire");
     assert_eq!(
-        decode_errors,
-        by_kind_sum,
-        "{} leg: per-kind classification leaks",
-        H::NAME
+        stats.decode_errors,
+        stats
+            .decode_error_kinds()
+            .iter()
+            .map(|(_, c)| c)
+            .sum::<u64>(),
+        "UDP leg: per-kind classification leaks"
     );
     let verdict = cluster
         .call(victim, move |n| {
@@ -706,23 +620,17 @@ fn hostile_over_udp<H: UdpHost>() -> HostileVerdict {
             (hostile_verdict(n, attacker_id, count), vec![])
         })
         .expect("verdict snapshot");
-    cluster.stop();
+    cluster.shutdown();
     verdict
 }
 
 /// §5.1 parity under fire: the identical hostile-wire episode (a ring
 /// neighbor whose frames arrive damaged) must drive the identical
-/// containment trajectory over the simulator, the blocking UDP reactor,
-/// and the tokio host.
+/// containment trajectory over the simulator and the tokio host.
 #[test]
 fn hostile_wire_containment_agrees_across_transports() {
     let sim = hostile_in_simulator();
-    let threads = hostile_over_udp::<RpcCluster<StackNode>>();
-    assert_eq!(
-        sim, threads,
-        "simulator and blocking UDP reactor disagree on containment"
-    );
-    let tokio = hostile_over_udp::<ClusterHost<StackNode>>();
+    let tokio = hostile_over_udp();
     assert_eq!(
         sim, tokio,
         "simulator and tokio host disagree on containment"
@@ -738,8 +646,8 @@ fn hostile_wire_containment_agrees_across_transports() {
 #[test]
 fn simulator_and_udp_cluster_agree() {
     let sim = run_in_simulator();
-    let udp = run_over_udp::<RpcCluster<StackNode>>();
-    // All transports ran two protocols on the same nodes and must agree
+    let tokio = run_over_udp();
+    // Both transports ran two protocols on the same nodes and must agree
     // on every answer.
     assert_eq!(sim.dat_count as usize, N);
     assert_eq!(sim.dat_sum, (0..N).map(|i| (i * 10) as f64).sum::<f64>());
@@ -766,7 +674,5 @@ fn simulator_and_udp_cluster_agree() {
             "spurious shed in snapshot {buf:?}"
         );
     }
-    assert_eq!(sim, udp, "simulator and blocking UDP reactor disagree");
-    let tokio = run_over_udp::<ClusterHost<StackNode>>();
     assert_eq!(sim, tokio, "simulator and tokio host disagree");
 }

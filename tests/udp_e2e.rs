@@ -5,8 +5,8 @@
 use std::time::{Duration, Instant};
 
 use libdat::chord::{ChordConfig, Id, IdSpace, NodeAddr, NodeStatus};
+use libdat::cluster::ClusterHost;
 use libdat::core::{AggFunc, AggregationMode, DatConfig, DatEvent, DatProtocol, StackNode};
-use libdat::rpc::RpcCluster;
 use rand::{Rng, SeedableRng};
 
 fn fast_chord() -> ChordConfig {
@@ -40,7 +40,7 @@ fn udp_cluster_converges_and_answers_queries() {
         actors.push(node);
     }
     let key = libdat::chord::hash_to_id(IdSpace::new(40), b"cpu-usage");
-    let cluster = RpcCluster::launch(actors).unwrap();
+    let cluster = ClusterHost::launch(actors).unwrap();
 
     let bootstrap = cluster
         .call(NodeAddr(0), |node| (node.me(), node.start_create()))
@@ -133,7 +133,7 @@ fn udp_continuous_reports_reach_root() {
         node.set_local(key, 7.0);
         actors.push(node);
     }
-    let cluster = RpcCluster::launch(actors).unwrap();
+    let cluster = ClusterHost::launch(actors).unwrap();
     let bootstrap = cluster
         .call(NodeAddr(0), |node| (node.me(), node.start_create()))
         .unwrap();
