@@ -7,17 +7,25 @@
 //!   digests (the property that makes traces assertable in CI).
 //! * The fleet Prometheus snapshot is served over the wire by the stats
 //!   request/reply pair, on the simulator and over loopback UDP alike.
+//! * Every node's exposition — names, labels, order, zero series — is
+//!   pinned byte for byte by a golden file, before and after a metrics
+//!   reset, so refactors of the counting code cannot drift it.
 
 use std::time::{Duration, Instant};
 
+use libdat::chord::wire::CodecError;
+use libdat::chord::Input;
 use libdat::chord::{
     ChordConfig, Id, IdPolicy, IdSpace, NodeAddr, NodeStatus, RoutingScheme, StaticRing, Upcall,
 };
 use libdat::cluster::ClusterHost;
-use libdat::core::{AggregationMode, DatConfig, DatEvent, DatProtocol, StackNode};
+use libdat::core::engine::BadFrameConfig;
+use libdat::core::{AggregationMode, DatConfig, DatEvent, DatProtocol, InboxPolicy, StackNode};
+use libdat::maan::{MaanProtocol, MaanStack, Resource};
+use libdat::monitor::grid_schemas;
 use libdat::obs::{digest_events, mix64, trace_id_for, validate_prometheus, EpochTrace};
-use libdat::sim::harness::{addr_book, prestabilized_dat};
-use libdat::sim::{fleet_events, SimNet};
+use libdat::sim::harness::{addr_book, prestabilized_dat, prestabilized_stack};
+use libdat::sim::{fleet_events, LatencyModel, LossModel, SimNet};
 use rand::SeedableRng;
 
 fn quiet_chord(space: IdSpace) -> ChordConfig {
@@ -268,4 +276,130 @@ fn stats_are_served_over_udp() {
     let samples = validate_prometheus(&text).expect("UDP-served dump parses");
     assert!(samples > 10);
     assert!(text.contains("layer=\"dat\""));
+}
+
+/// Golden file pinning the per-node Prometheus exposition.
+const EXPOSITION_GOLDEN: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/exposition.prom");
+
+/// A fixed-seed 16-node DAT + MAAN run on a lossy wire with one injected
+/// bad frame (escalated to a health suspicion), one shed stats request
+/// and one MAAN range query, rendered as every node's exposition in
+/// address order: once as run, once right after `reset_metrics`.
+fn exposition_dump() -> String {
+    const N: usize = 16;
+    let space = IdSpace::new(32);
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(0x601D);
+    let ring = StaticRing::build(space, N, IdPolicy::Probed, &mut rng);
+    let ccfg = ChordConfig {
+        space,
+        ..ChordConfig::default()
+    };
+    let dcfg = DatConfig {
+        scheme: RoutingScheme::Balanced,
+        epoch_ms: 1_000,
+        d0_hint: Some(ring.d0()),
+        ..DatConfig::default()
+    };
+    let mut net = prestabilized_stack(&ring, ccfg, 0x601D, |_, id, addr| {
+        StackNode::new(ccfg, id, addr)
+            .with_app(DatProtocol::new(dcfg))
+            .with_app(MaanProtocol::new(grid_schemas()))
+    });
+    net.set_record_upcalls(false);
+    net.set_latency(LatencyModel::Uniform { lo: 2, hi: 40 });
+    net.set_loss(LossModel::new(0.15));
+    let book = addr_book(&ring);
+    let addr = |i: usize| book[&ring.ids()[i]];
+    for i in 0..N {
+        let node = net.node_mut(addr(i)).unwrap();
+        let key = node.register("cpu-usage", AggregationMode::Continuous);
+        node.set_local(key, i as f64);
+    }
+    for j in 0..4usize {
+        let res = Resource::new(&format!("grid://host-{j}")).with("cpu-speed", j as f64);
+        net.with_node(addr(j * 4), |n| ((), n.maan_register(&res)))
+            .unwrap();
+    }
+    net.run_for(6_000);
+
+    // One bad frame from a ring neighbor, scored with threshold 1 so it
+    // escalates into a forced health suspicion.
+    let victim = addr(3);
+    let poisoner = addr(4);
+    net.with_node(victim, |n| {
+        n.set_bad_frame_config(BadFrameConfig {
+            threshold: 1,
+            ..BadFrameConfig::default()
+        });
+        let outs = n.handle(Input::BadFrame {
+            from: Some(poisoner),
+            error: CodecError::BadChecksum {
+                computed: 1,
+                stored: 2,
+            },
+        });
+        ((), outs)
+    })
+    .unwrap();
+    // One stats request shed by a node whose stats class has no capacity.
+    let busy = addr(7);
+    net.node_mut(busy).unwrap().set_inbox_policy(InboxPolicy {
+        service_ms: 1,
+        agg_capacity: u64::MAX,
+        stats_capacity: 0,
+    });
+    let target = net.node(busy).unwrap().me();
+    net.with_node(addr(0), |n| n.request_stats(target)).unwrap();
+    net.with_node(addr(9), |n| n.maan_range_query("cpu-speed", 1.0, 2.0))
+        .unwrap();
+    net.run_for(4_000);
+
+    let mut addrs = net.addrs();
+    addrs.sort();
+    let mut out = String::new();
+    for phase in ["as run", "after reset_metrics"] {
+        if phase != "as run" {
+            for &a in &addrs {
+                net.node_mut(a).unwrap().reset_metrics();
+            }
+        }
+        for &a in &addrs {
+            out.push_str(&format!("# ---- node {} ({phase})\n", a.0));
+            out.push_str(&net.node(a).unwrap().render_prometheus());
+        }
+    }
+    out
+}
+
+#[test]
+fn per_node_exposition_matches_golden() {
+    let dump = exposition_dump();
+    assert_eq!(dump, exposition_dump(), "same seed, same exposition");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(EXPOSITION_GOLDEN, &dump).expect("write golden");
+    }
+    let golden = std::fs::read_to_string(EXPOSITION_GOLDEN)
+        .expect("golden exposition missing: rerun with UPDATE_GOLDEN=1");
+    // The scenario must really exercise every special series.
+    for needle in [
+        "bad_frames_total{kind=\"bad_checksum\"} 1",
+        "bad_frame_suspects_total{layer=\"chord\"} 1",
+        "engine_shed_total{layer=\"stats\"} 1",
+        "suspects_total{layer=\"chord\"} 1",
+    ] {
+        assert!(golden.contains(needle), "golden lacks {needle:?}");
+    }
+    if let Some((i, (got, want))) = dump
+        .lines()
+        .zip(golden.lines())
+        .enumerate()
+        .find(|(_, (g, w))| g != w)
+    {
+        panic!(
+            "exposition drifted at line {}: got {got:?}, want {want:?}",
+            i + 1
+        );
+    }
+    assert_eq!(dump.len(), golden.len(), "exposition length drifted");
 }
