@@ -64,7 +64,7 @@ pub use actor::Actor;
 pub use finger::{FingerInfo, FingerTable, NodeAddr, NodeRef};
 pub use health::{HealthConfig, HealthDetector, SuspicionLevel};
 pub use id::{ceil_log2, ceil_log2_ratio, Id, IdSpace};
-pub use metrics::{Dir, Metrics};
+pub use metrics::Metrics;
 pub use msg::{ChordMsg, Input, Output, ReqId, TimerKind, Upcall};
 pub use node::{ChordConfig, ChordNode, NodeStatus};
 pub use payload::Payload;

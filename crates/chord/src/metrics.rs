@@ -3,83 +3,68 @@
 //! The paper's evaluation is largely message-count based: the distribution
 //! of aggregation messages across nodes (Fig. 8a), imbalance factors
 //! (Fig. 8b) and maintenance overhead during churn. [`Metrics`] is the
-//! compat shim every layer keeps one of — the counting API predates the
-//! `dat-obs` registry, but all counts now land in an embedded
-//! [`Registry`], every kind-label increment flows through one helper
-//! ([`Dir`] + `count_kind`), and a bounded [`Tracer`] records typed events
-//! with causal trace ids alongside the tallies.
+//! counting API every layer keeps one of: every count — kind-labeled
+//! traffic and bespoke tallies alike — lands in an embedded [`Registry`],
+//! and a bounded [`Tracer`] records typed events with causal trace ids
+//! alongside the tallies.
+
+#![deny(clippy::unwrap_used)]
 
 use dat_obs::{EventKind, Key, Registry, Tracer};
 
 use crate::msg::ChordMsg;
 
-/// Which direction a kind-labeled count applies to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Dir {
-    /// Outgoing traffic (`sent_total`).
-    Sent,
-    /// Incoming traffic (`received_total`).
-    Received,
-}
+/// Counters every layer exports even before their first bump, so fleet
+/// merges and dashboards see the series at zero.
+const ZERO_SERIES: [&str; 3] = ["timeouts_total", "retransmits_total", "dropped_total"];
 
 /// Observability state kept by every protocol node: a metric registry
-/// (counters + histograms), an event tracer, and the three loose counters
-/// the transports bump directly.
+/// (counters + histograms) and an event tracer.
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
     reg: Registry,
     tracer: Tracer,
-    /// Requests that expired in the pending table.
-    pub timeouts: u64,
-    /// Requests re-sent after an RTO expiry (bounded-retry recovery).
-    pub retransmits: u64,
-    /// Messages dropped (hop budget, inactive node, empty table).
-    pub dropped: u64,
 }
 
 impl Metrics {
     /// The single kind-label counting helper: every sent/received tally —
     /// whole messages or bare kind labels — funnels through here.
-    fn count_kind(&mut self, dir: Dir, kind: &'static str) {
-        let name = match dir {
-            Dir::Sent => "sent_total",
-            Dir::Received => "received_total",
-        };
+    fn count_kind(&mut self, name: &'static str, kind: &'static str) {
         self.reg.counter_inc(Key::new(name).label("kind", kind));
     }
 
     /// Record an outgoing message.
     pub fn count_sent(&mut self, msg: &ChordMsg) {
-        self.count_kind(Dir::Sent, msg.kind());
+        self.count_kind("sent_total", msg.kind());
     }
 
     /// Record an incoming message.
     pub fn count_received(&mut self, msg: &ChordMsg) {
-        self.count_kind(Dir::Received, msg.kind());
+        self.count_kind("received_total", msg.kind());
     }
 
     /// Record an outgoing message by kind label (for layers above Chord).
     pub fn count_sent_kind(&mut self, kind: &'static str) {
-        self.count_kind(Dir::Sent, kind);
+        self.count_kind("sent_total", kind);
     }
 
     /// Record an incoming message by kind label (for layers above Chord).
     pub fn count_received_kind(&mut self, kind: &'static str) {
-        self.count_kind(Dir::Received, kind);
+        self.count_kind("received_total", kind);
     }
 
     /// Count an outgoing message *and* trace it under `trace_id`
     /// (`peer` is the destination node id, or the routing key for routed
     /// sends).
     pub fn on_send(&mut self, at_ms: u64, trace_id: u64, kind: &'static str, peer: u64) {
-        self.count_kind(Dir::Sent, kind);
+        self.count_kind("sent_total", kind);
         self.tracer
             .record(at_ms, trace_id, EventKind::Send { kind, to: peer });
     }
 
     /// Count an incoming message *and* trace it under `trace_id`.
     pub fn on_recv(&mut self, at_ms: u64, trace_id: u64, kind: &'static str, peer: u64) {
-        self.count_kind(Dir::Received, kind);
+        self.count_kind("received_total", kind);
         self.tracer
             .record(at_ms, trace_id, EventKind::Recv { kind, from: peer });
     }
@@ -94,10 +79,12 @@ impl Metrics {
         self.reg.observe(Key::new(name), v);
     }
 
-    /// Bump an arbitrary unlabeled counter — for layers above Chord that
-    /// need bespoke tallies (e.g. `proactive_reparents_total`). Exported
-    /// with the layer stamp by [`Metrics::export_into`] like every other
-    /// series.
+    /// Bump an unlabeled counter: `timeouts_total` (requests that expired
+    /// in the in-flight table), `retransmits_total` (requests re-sent
+    /// after an RTO expiry), `dropped_total` (messages dropped: hop budget,
+    /// inactive node, empty table, undecodable payload) or a layer's
+    /// bespoke tally (e.g. `proactive_reparents_total`). Exported with the
+    /// layer stamp by [`Metrics::export_into`] like every other series.
     pub fn inc(&mut self, name: &'static str) {
         self.reg.counter_inc(Key::new(name));
     }
@@ -171,41 +158,27 @@ impl Metrics {
     /// the other's trace buffer is left alone — traces are per-node).
     pub fn merge(&mut self, other: &Metrics) {
         self.reg.merge(&other.reg);
-        self.timeouts += other.timeouts;
-        self.retransmits += other.retransmits;
-        self.dropped += other.dropped;
     }
 
     /// Reset every counter, histogram and the trace buffer.
     pub fn reset(&mut self) {
         self.reg.reset();
         self.tracer.clear();
-        self.timeouts = 0;
-        self.retransmits = 0;
-        self.dropped = 0;
     }
 
     /// Fold this node's metrics into a wider registry, stamping every
-    /// series with `layer` (e.g. `chord`, `dat`) and materializing the
-    /// three loose counters as proper series.
+    /// series with `layer` (e.g. `chord`, `dat`); the timeout, retransmit
+    /// and drop counters are exported even at zero.
     pub fn export_into(&self, out: &mut Registry, layer: &'static str) {
         out.merge_labeled(&self.reg, "layer", layer);
-        out.counter_add(
-            Key::new("timeouts_total").label("layer", layer),
-            self.timeouts,
-        );
-        out.counter_add(
-            Key::new("retransmits_total").label("layer", layer),
-            self.retransmits,
-        );
-        out.counter_add(
-            Key::new("dropped_total").label("layer", layer),
-            self.dropped,
-        );
+        for name in ZERO_SERIES {
+            out.counter_add(Key::new(name).label("layer", layer), 0);
+        }
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::finger::{NodeAddr, NodeRef};
@@ -237,11 +210,11 @@ mod tests {
         a.count_received_kind("dat_update");
         let mut b = Metrics::default();
         b.count_sent_kind("dat_update");
-        b.timeouts = 3;
+        b.inc("timeouts_total");
         a.merge(&b);
         assert_eq!(a.sent_of("dat_update"), 2);
         assert_eq!(a.received_of("dat_update"), 1);
-        assert_eq!(a.timeouts, 3);
+        assert_eq!(a.get("timeouts_total"), 1);
     }
 
     #[test]
@@ -259,10 +232,10 @@ mod tests {
     fn reset_clears() {
         let mut m = Metrics::default();
         m.count_sent(&ping());
-        m.dropped = 2;
+        m.inc("dropped_total");
         m.reset();
         assert_eq!(m.sent_total(), 0);
-        assert_eq!(m.dropped, 0);
+        assert_eq!(m.get("dropped_total"), 0);
     }
 
     #[test]
@@ -287,15 +260,19 @@ mod tests {
     }
 
     #[test]
-    fn export_stamps_layer_and_loose_counters() {
+    fn export_stamps_layer_and_zero_fills() {
         let mut m = Metrics::default();
         m.count_sent(&ping());
-        m.timeouts = 2;
+        m.inc("timeouts_total");
+        m.inc("timeouts_total");
         m.observe("rtt_ms", 5);
         let mut reg = Registry::new();
         m.export_into(&mut reg, "chord");
         assert_eq!(reg.counter_with("sent_total", "chord"), 1);
         assert_eq!(reg.counter_with("timeouts_total", "chord"), 2);
+        let text = reg.render_prometheus();
+        assert!(text.contains("retransmits_total{layer=\"chord\"} 0"));
+        assert!(text.contains("dropped_total{layer=\"chord\"} 0"));
         assert_eq!(reg.hist_sum("rtt_ms").count(), 1);
         dat_obs::validate_prometheus(&reg.render_prometheus()).expect("valid dump");
     }

@@ -37,6 +37,8 @@
 //! the `Routed` upcall surfaces at the key's owner. Untagged payloads (or
 //! tags without a registered handler) pass through to the host unchanged.
 
+#![deny(clippy::unwrap_used)]
+
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 
@@ -55,6 +57,11 @@ pub fn proto_label(proto: u8) -> &'static str {
         4 => "maan",
         _ => "app",
     }
+}
+
+/// A per-layer engine counter key, e.g. `engine_sent_total{layer="dat"}`.
+fn layer_key(name: &'static str, proto: u8) -> Key {
+    Key::new(name).label("layer", proto_label(proto))
 }
 
 /// Bit position of the proto byte inside a `TimerKind::App` token.
@@ -160,7 +167,7 @@ fn inbox_admit(policy: &InboxPolicy, busy_until_ms: &mut u64, now_ms: u64, capac
 pub struct Ctx<'a> {
     chord: &'a mut ChordNode,
     queue: &'a mut VecDeque<Output>,
-    sent: &'a mut HashMap<u8, u64>,
+    sent: &'a mut Registry,
     proto: u8,
     now_ms: u64,
 }
@@ -206,7 +213,8 @@ impl Ctx<'_> {
     /// Send an application payload directly to `to`, tagged with this
     /// handler's proto byte.
     pub fn send(&mut self, to: NodeRef, payload: Vec<u8>) {
-        *self.sent.entry(self.proto).or_insert(0) += 1;
+        self.sent
+            .counter_inc(layer_key("engine_sent_total", self.proto));
         let out = self.chord.send_app(to, self.proto, payload);
         self.queue.push_back(out);
     }
@@ -215,7 +223,8 @@ impl Ctx<'_> {
     /// prepends this handler's proto byte so the owner's engine can
     /// dispatch the payload back to the same protocol.
     pub fn route(&mut self, key: Id, payload: Vec<u8>) {
-        *self.sent.entry(self.proto).or_insert(0) += 1;
+        self.sent
+            .counter_inc(layer_key("engine_sent_total", self.proto));
         let mut tagged = Vec::with_capacity(payload.len() + 1);
         tagged.push(self.proto);
         tagged.extend_from_slice(&payload);
@@ -297,13 +306,10 @@ pub trait AppProtocol: Send + 'static {
     /// The node is about to leave the ring gracefully; send goodbyes.
     fn on_leave(&mut self, _cx: &mut Ctx<'_>) {}
 
-    /// Reset this handler's own counters (called by
-    /// [`StackNode::reset_metrics`], e.g. after an experiment's warm-up).
-    fn reset_metrics(&mut self) {}
-
-    /// This handler's metrics/tracer shim, if it keeps one. Handlers that
+    /// This handler's metrics/tracer, if it keeps one. Handlers that
     /// return `Some` are folded into [`StackNode::obs_registry`] under
-    /// their proto's layer label.
+    /// their proto's layer label and reset by
+    /// [`StackNode::reset_metrics`].
     fn metrics(&self) -> Option<&Metrics> {
         None
     }
@@ -331,25 +337,20 @@ pub struct StackNode {
     chord: ChordNode,
     handlers: Vec<Box<dyn AppProtocol>>,
     now_ms: u64,
-    sent_by_proto: HashMap<u8, u64>,
-    recv_by_proto: HashMap<u8, u64>,
+    /// Engine counters: `engine_sent_total`, `engine_received_total` and
+    /// `engine_shed_total` per layer (shed also for the `stats` class),
+    /// `bad_frames_total` per decode-error kind and
+    /// `bad_frame_suspects_total`.
+    counters: Registry,
     /// Backpressure model for application payloads (default: unbounded).
     inbox: InboxPolicy,
     /// Virtual-time horizon up to which the inbox is busy serving
     /// already-admitted payloads.
     inbox_busy_until_ms: u64,
-    /// Aggregation-class payloads shed per proto byte.
-    shed_by_proto: HashMap<u8, u64>,
-    /// Stats requests shed (lowest priority class).
-    stats_shed: u64,
     /// Poisoned-peer scoring policy for undecodable frames.
     bad_frame_cfg: BadFrameConfig,
-    /// Undecodable frames seen, by [`dat_chord::wire::ERROR_KINDS`] index.
-    bad_frames_by_kind: [u64; dat_chord::wire::ERROR_KINDS.len()],
     /// Per-source sliding window: (window start, bad frames in window).
     bad_peer_window: HashMap<NodeAddr, (u64, u32)>,
-    /// Bad-frame bursts that escalated into a failure-detector miss.
-    bad_frame_suspects: u64,
 }
 
 impl StackNode {
@@ -365,16 +366,11 @@ impl StackNode {
             chord,
             handlers: Vec::new(),
             now_ms: 0,
-            sent_by_proto: HashMap::new(),
-            recv_by_proto: HashMap::new(),
+            counters: Registry::new(),
             inbox: InboxPolicy::default(),
             inbox_busy_until_ms: 0,
-            shed_by_proto: HashMap::new(),
-            stats_shed: 0,
             bad_frame_cfg: BadFrameConfig::default(),
-            bad_frames_by_kind: [0; dat_chord::wire::ERROR_KINDS.len()],
             bad_peer_window: HashMap::new(),
-            bad_frame_suspects: 0,
         }
     }
 
@@ -386,27 +382,6 @@ impl StackNode {
     /// The poisoned-peer scoring policy in effect.
     pub fn bad_frame_config(&self) -> BadFrameConfig {
         self.bad_frame_cfg
-    }
-
-    /// Undecodable frames seen so far, all error kinds summed.
-    pub fn bad_frames_total(&self) -> u64 {
-        self.bad_frames_by_kind.iter().sum()
-    }
-
-    /// Undecodable frames of one error kind (a
-    /// [`dat_chord::wire::ERROR_KINDS`] label); unknown labels read 0.
-    pub fn bad_frame_count(&self, kind: &str) -> u64 {
-        dat_chord::wire::ERROR_KINDS
-            .iter()
-            .position(|&k| k == kind)
-            .map(|i| self.bad_frames_by_kind[i])
-            .unwrap_or(0)
-    }
-
-    /// Bad-frame bursts that escalated into a forced-Suspect report
-    /// against a resolved peer.
-    pub fn bad_frame_suspects(&self) -> u64 {
-        self.bad_frame_suspects
     }
 
     /// Source addresses currently tracked by the bad-frame scorer (always
@@ -429,16 +404,6 @@ impl StackNode {
     /// The bounded-inbox policy in effect.
     pub fn inbox_policy(&self) -> InboxPolicy {
         self.inbox
-    }
-
-    /// Aggregation-class payloads shed so far for `proto`.
-    pub fn shed_count(&self, proto: u8) -> u64 {
-        self.shed_by_proto.get(&proto).copied().unwrap_or(0)
-    }
-
-    /// Stats requests shed so far.
-    pub fn stats_shed_count(&self) -> u64 {
-        self.stats_shed
     }
 
     /// Register an application protocol (builder style). Panics if the
@@ -500,109 +465,54 @@ impl StackNode {
         self.handlers.iter().any(|h| h.proto() == proto)
     }
 
-    /// Application messages sent so far, attributed to `proto` (counts
-    /// `ChordMsg::App` sends; engine-tagged routed payloads are counted at
-    /// the receiver instead, since routing hops are Chord traffic).
-    pub fn proto_sent(&self, proto: u8) -> u64 {
-        self.sent_by_proto.get(&proto).copied().unwrap_or(0)
-    }
-
-    /// Application payloads received and dispatched to `proto`'s handler
-    /// (direct messages and engine-tagged routed payloads).
-    pub fn proto_received(&self, proto: u8) -> u64 {
-        self.recv_by_proto.get(&proto).copied().unwrap_or(0)
-    }
-
-    /// Reset every counter on this node: the Chord-layer metrics, the
-    /// per-proto tallies, and each handler's own metrics (e.g. after an
-    /// experiment's warm-up phase, so steady state is measured alone).
+    /// Reset every counter on this node: the Chord layer's metrics and
+    /// failure-detector transition counts, the engine's own counters, and
+    /// each handler's metrics (e.g. after an experiment's warm-up phase,
+    /// so steady state is measured alone). Detector and bad-frame scoring
+    /// state is kept: a reset must not hand a poisoning peer a fresh
+    /// window.
     pub fn reset_metrics(&mut self) {
         self.chord.metrics_mut().reset();
-        self.sent_by_proto.clear();
-        self.recv_by_proto.clear();
-        self.shed_by_proto.clear();
-        self.stats_shed = 0;
-        self.bad_frames_by_kind = [0; dat_chord::wire::ERROR_KINDS.len()];
-        self.bad_peer_window.clear();
-        self.bad_frame_suspects = 0;
-        let health = self.chord.health_mut();
-        health.suspects = 0;
-        health.quarantines = 0;
-        health.rejoins = 0;
-        for h in &mut self.handlers {
-            h.reset_metrics();
+        self.chord.health_mut().registry_mut().reset();
+        self.counters.reset();
+        for m in self.handlers.iter_mut().filter_map(|h| h.metrics_mut()) {
+            m.reset();
         }
     }
 
-    /// Chord-layer message counters (alias for `chord().metrics()`).
-    pub fn chord_metrics(&self) -> &Metrics {
-        self.chord.metrics()
-    }
-
     /// One merged observability registry for this node: the Chord layer's
-    /// metrics stamped `layer="chord"`, each handler's metrics stamped with
-    /// its proto label ([`proto_label`]), plus the engine's own per-proto
-    /// payload tallies as `engine_sent_total` / `engine_received_total`.
+    /// metrics and failure-detector counters stamped `layer="chord"`, each
+    /// handler's metrics stamped with its proto label ([`proto_label`]),
+    /// plus the engine's own counters. `engine_sent_total` counts
+    /// `ChordMsg::App` sends and routed payloads per layer;
+    /// `engine_received_total` counts payloads dispatched to a handler.
     ///
     /// Snapshots from many nodes merge associatively
     /// ([`Registry::merge`]) into fleet-wide totals and percentiles.
     pub fn obs_registry(&self) -> Registry {
         let mut reg = Registry::default();
         self.chord.metrics().export_into(&mut reg, "chord");
+        self.chord.health().export_into(&mut reg, "chord");
         for h in &self.handlers {
             if let Some(m) = h.metrics() {
                 m.export_into(&mut reg, proto_label(h.proto()));
             }
         }
-        for (&p, &n) in &self.sent_by_proto {
-            reg.counter_add(
-                Key::new("engine_sent_total").label("layer", proto_label(p)),
-                n,
-            );
-        }
-        for (&p, &n) in &self.recv_by_proto {
-            reg.counter_add(
-                Key::new("engine_received_total").label("layer", proto_label(p)),
-                n,
-            );
-        }
-        // Shed counters exist (at zero) for every registered handler and
-        // for the stats class, so the series are visible before the first
-        // shed; health-plane counters come from the shared detector.
+        reg.merge(&self.counters);
+        // Shed counters for every registered handler and the stats class,
+        // the full decode-error taxonomy and the poisoning escalations
+        // exist at zero, so a clean node still exports them and fleet
+        // merges line up.
         for h in &self.handlers {
-            reg.counter_add(
-                Key::new("engine_shed_total").label("layer", proto_label(h.proto())),
-                self.shed_count(h.proto()),
-            );
+            reg.counter_add(layer_key("engine_shed_total", h.proto()), 0);
         }
-        reg.counter_add(
-            Key::new("engine_shed_total").label("layer", "stats"),
-            self.stats_shed,
-        );
-        let health = self.chord.health();
-        reg.counter_add(
-            Key::new("suspects_total").label("layer", "chord"),
-            health.suspects,
-        );
-        reg.counter_add(
-            Key::new("quarantines_total").label("layer", "chord"),
-            health.quarantines,
-        );
-        reg.counter_add(
-            Key::new("rejoins_total").label("layer", "chord"),
-            health.rejoins,
-        );
-        // The full decode-error taxonomy is pre-registered at zero, so a
-        // clean wire still exports every kind and fleet merges line up.
-        for (i, &kind) in dat_chord::wire::ERROR_KINDS.iter().enumerate() {
-            reg.counter_add(
-                Key::new("bad_frames_total").label("kind", kind),
-                self.bad_frames_by_kind[i],
-            );
+        reg.counter_add(Key::new("engine_shed_total").label("layer", "stats"), 0);
+        for kind in dat_chord::wire::ERROR_KINDS {
+            reg.counter_add(Key::new("bad_frames_total").label("kind", kind), 0);
         }
         reg.counter_add(
             Key::new("bad_frame_suspects_total").label("layer", "chord"),
-            self.bad_frame_suspects,
+            0,
         );
         reg
     }
@@ -677,28 +587,27 @@ impl StackNode {
             chord,
             handlers,
             now_ms,
-            sent_by_proto,
+            counters,
             ..
         } = self;
-        let now = *now_ms;
+        let (proto, p) = handlers
+            .iter_mut()
+            .find_map(|h| {
+                let proto = h.proto();
+                h.as_any_mut().downcast_mut::<P>().map(|p| (proto, p))
+            })
+            .expect("protocol not registered on this StackNode");
         let mut queue = VecDeque::new();
-        let mut result = None;
-        let mut f = Some(f);
-        for h in handlers.iter_mut() {
-            let proto = h.proto();
-            if let Some(p) = h.as_any_mut().downcast_mut::<P>() {
-                let mut cx = Ctx {
-                    chord: &mut *chord,
-                    queue: &mut queue,
-                    sent: &mut *sent_by_proto,
-                    proto,
-                    now_ms: now,
-                };
-                result = Some((f.take().unwrap())(p, &mut cx));
-                break;
-            }
-        }
-        let r = result.expect("protocol not registered on this StackNode");
+        let r = f(
+            p,
+            &mut Ctx {
+                chord,
+                queue: &mut queue,
+                sent: counters,
+                proto,
+                now_ms: *now_ms,
+            },
+        );
         let outs = self.dispatch(queue.into_iter().collect());
         (r, outs)
     }
@@ -737,7 +646,7 @@ impl StackNode {
             chord,
             handlers,
             now_ms,
-            sent_by_proto,
+            counters,
             ..
         } = self;
         let mut queue = VecDeque::new();
@@ -746,7 +655,7 @@ impl StackNode {
             let mut cx = Ctx {
                 chord: &mut *chord,
                 queue: &mut queue,
-                sent: &mut *sent_by_proto,
+                sent: &mut *counters,
                 proto,
                 now_ms: *now_ms,
             };
@@ -817,7 +726,8 @@ impl StackNode {
                 self.now_ms,
                 self.inbox.stats_capacity,
             ) {
-                self.stats_shed += 1;
+                self.counters
+                    .counter_inc(Key::new("engine_shed_total").label("layer", "stats"));
                 continue;
             }
             let text = self.render_prometheus().into_bytes();
@@ -831,7 +741,8 @@ impl StackNode {
     /// report the resolved peer to the failure detector as a hard miss
     /// (forced Suspect — repeat episodes quarantine via flap damping).
     fn on_bad_frame(&mut self, from: Option<NodeAddr>, error: dat_chord::wire::CodecError) {
-        self.bad_frames_by_kind[error.kind_index()] += 1;
+        self.counters
+            .counter_inc(Key::new("bad_frames_total").label("kind", error.kind_label()));
         let Some(addr) = from else {
             // Unattributable garbage: counted, nobody to score.
             return;
@@ -863,7 +774,8 @@ impl StackNode {
             // cadence the detector's flap damping turns into quarantine.
             *entry = (now, 0);
             if let Some(peer) = self.chord.suspect_addr(addr) {
-                self.bad_frame_suspects += 1;
+                self.counters
+                    .counter_inc(Key::new("bad_frame_suspects_total").label("layer", "chord"));
                 self.chord.metrics_mut().trace(
                     now,
                     0,
@@ -880,11 +792,9 @@ impl StackNode {
             chord,
             handlers,
             now_ms,
-            sent_by_proto,
-            recv_by_proto,
+            counters,
             inbox,
             inbox_busy_until_ms,
-            shed_by_proto,
             ..
         } = self;
         let now = *now_ms;
@@ -895,15 +805,9 @@ impl StackNode {
                 send @ Output::Send { .. } => pass.push(send),
                 Output::Upcall(up) => match up {
                     Upcall::Joined { id } => {
-                        fire(
-                            chord,
-                            handlers,
-                            now,
-                            &mut scan,
-                            sent_by_proto,
-                            None,
-                            |h, cx| h.on_start(cx),
-                        );
+                        fire(chord, handlers, now, &mut scan, counters, None, |h, cx| {
+                            h.on_start(cx)
+                        });
                         pass.push(Output::Upcall(Upcall::Joined { id }));
                     }
                     Upcall::AppTimer(token) => {
@@ -914,7 +818,7 @@ impl StackNode {
                             handlers,
                             now,
                             &mut scan,
-                            sent_by_proto,
+                            counters,
                             Some(proto),
                             |h, cx| h.on_timer(cx, sub),
                         );
@@ -929,16 +833,16 @@ impl StackNode {
                     } => {
                         if handlers.iter().any(|h| h.proto() == proto) {
                             if !inbox_admit(inbox, inbox_busy_until_ms, now, inbox.agg_capacity) {
-                                *shed_by_proto.entry(proto).or_insert(0) += 1;
+                                counters.counter_inc(layer_key("engine_shed_total", proto));
                                 continue;
                             }
-                            *recv_by_proto.entry(proto).or_insert(0) += 1;
+                            counters.counter_inc(layer_key("engine_received_total", proto));
                             fire(
                                 chord,
                                 handlers,
                                 now,
                                 &mut scan,
-                                sent_by_proto,
+                                counters,
                                 Some(proto),
                                 |h, cx| h.on_message(cx, from, &payload),
                             );
@@ -958,16 +862,16 @@ impl StackNode {
                     } => match payload.split_first() {
                         Some((&p, rest)) if handlers.iter().any(|h| h.proto() == p) => {
                             if !inbox_admit(inbox, inbox_busy_until_ms, now, inbox.agg_capacity) {
-                                *shed_by_proto.entry(p).or_insert(0) += 1;
+                                counters.counter_inc(layer_key("engine_shed_total", p));
                                 continue;
                             }
-                            *recv_by_proto.entry(p).or_insert(0) += 1;
+                            counters.counter_inc(layer_key("engine_received_total", p));
                             fire(
                                 chord,
                                 handlers,
                                 now,
                                 &mut scan,
-                                sent_by_proto,
+                                counters,
                                 Some(p),
                                 |h, cx| h.on_routed(cx, key, origin, rest),
                             );
@@ -980,15 +884,9 @@ impl StackNode {
                         })),
                     },
                     Upcall::NeighborhoodChanged => {
-                        fire(
-                            chord,
-                            handlers,
-                            now,
-                            &mut scan,
-                            sent_by_proto,
-                            None,
-                            |h, cx| h.on_neighborhood_changed(cx),
-                        );
+                        fire(chord, handlers, now, &mut scan, counters, None, |h, cx| {
+                            h.on_neighborhood_changed(cx)
+                        });
                         pass.push(Output::Upcall(Upcall::NeighborhoodChanged));
                     }
                     other => pass.push(Output::Upcall(other)),
@@ -1022,7 +920,7 @@ fn fire<F>(
     handlers: &mut [Box<dyn AppProtocol>],
     now_ms: u64,
     scan: &mut VecDeque<Output>,
-    sent: &mut HashMap<u8, u64>,
+    sent: &mut Registry,
     proto: Option<u8>,
     mut f: F,
 ) -> bool
@@ -1052,9 +950,15 @@ where
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use dat_chord::{ChordMsg, IdSpace};
+
+    /// One counter series of the node's merged exposition.
+    fn count(stack: &StackNode, name: &str, label: &str) -> u64 {
+        stack.obs_registry().counter_with(name, label)
+    }
 
     fn cfg() -> ChordConfig {
         ChordConfig {
@@ -1177,8 +1081,8 @@ mod tests {
                 ..
             }
         )));
-        assert_eq!(stack.proto_received(40), 1);
-        assert_eq!(stack.proto_sent(40), 1);
+        assert_eq!(count(&stack, "engine_received_total", proto_label(40)), 1);
+        assert_eq!(count(&stack, "engine_sent_total", proto_label(40)), 1);
         // A proto byte with no handler passes through untouched.
         let outs = stack.handle(Input::Message {
             from: NodeAddr(2),
@@ -1191,7 +1095,8 @@ mod tests {
         assert!(outs
             .iter()
             .any(|o| matches!(o, Output::Upcall(Upcall::AppMessage { proto: 99, .. }))));
-        assert_eq!(stack.proto_received(99), 0);
+        // Not dispatched, so not counted (40 and 99 share the `app` label).
+        assert_eq!(count(&stack, "engine_received_total", proto_label(99)), 1);
     }
 
     #[test]
@@ -1230,9 +1135,9 @@ mod tests {
                 },
             });
         }
-        assert_eq!(stack.proto_received(40), 200);
-        assert_eq!(stack.shed_count(40), 0);
-        assert_eq!(stack.stats_shed_count(), 0);
+        assert_eq!(count(&stack, "engine_received_total", proto_label(40)), 200);
+        assert_eq!(count(&stack, "engine_shed_total", proto_label(40)), 0);
+        assert_eq!(count(&stack, "engine_shed_total", "stats"), 0);
     }
 
     #[test]
@@ -1258,8 +1163,8 @@ mod tests {
                 },
             });
         }
-        assert_eq!(stack.proto_received(40), 4);
-        assert_eq!(stack.shed_count(40), 6);
+        assert_eq!(count(&stack, "engine_received_total", proto_label(40)), 4);
+        assert_eq!(count(&stack, "engine_shed_total", proto_label(40)), 6);
         assert_eq!(stack.app::<Echo>().seen.len(), 4);
         // Control traffic is never shed: chord pings still get pongs.
         let outs = stack.handle(Input::Message {
@@ -1286,7 +1191,7 @@ mod tests {
                 payload: vec![99].into(),
             },
         });
-        assert_eq!(stack.proto_received(40), 5);
+        assert_eq!(count(&stack, "engine_received_total", proto_label(40)), 5);
         // Shed counters surface in the obs registry with a proto label.
         let reg = stack.obs_registry();
         assert_eq!(reg.counter_with("engine_shed_total", proto_label(40)), 6);
@@ -1309,7 +1214,7 @@ mod tests {
                 msg: ChordMsg::StatsRequest { req, sender: peer },
             });
         }
-        assert_eq!(stack.stats_shed_count(), 4);
+        assert_eq!(count(&stack, "engine_shed_total", "stats"), 4);
         let reg = stack.obs_registry();
         assert_eq!(reg.counter_with("engine_shed_total", "stats"), 4);
     }
@@ -1331,7 +1236,7 @@ mod tests {
                 ..
             }]
         ));
-        assert_eq!(stack.proto_sent(40), 1);
+        assert_eq!(count(&stack, "engine_sent_total", proto_label(40)), 1);
     }
 
     /// A stack whose chord node knows one peer (taught via Notify).
@@ -1365,9 +1270,9 @@ mod tests {
             });
             assert!(outs.is_empty(), "a bad frame produces no outputs");
         }
-        assert_eq!(stack.bad_frames_total(), 2);
-        assert_eq!(stack.bad_frame_count("bad_checksum"), 2);
-        assert_eq!(stack.bad_frame_suspects(), 0);
+        assert_eq!(stack.obs_registry().counter_sum("bad_frames_total"), 2);
+        assert_eq!(count(&stack, "bad_frames_total", "bad_checksum"), 2);
+        assert_eq!(count(&stack, "bad_frame_suspects_total", "chord"), 0);
         assert_eq!(
             stack.chord().health().peek(peer.id),
             SuspicionLevel::Healthy
@@ -1377,7 +1282,7 @@ mod tests {
             from: Some(NodeAddr(2)),
             error: checksum_err(),
         });
-        assert_eq!(stack.bad_frame_suspects(), 1);
+        assert_eq!(count(&stack, "bad_frame_suspects_total", "chord"), 1);
         assert_eq!(
             stack.chord().health().peek(peer.id),
             SuspicionLevel::Suspect
@@ -1389,6 +1294,29 @@ mod tests {
         let reg = stack.obs_registry();
         assert_eq!(reg.counter_with("bad_frames_total", "bad_checksum"), 3);
         assert_eq!(reg.counter_sum("bad_frame_suspects_total"), 1);
+    }
+
+    #[test]
+    fn metrics_reset_keeps_the_bad_frame_window() {
+        let (mut stack, peer) = stack_with_peer();
+        let bad = |stack: &mut StackNode| {
+            let _ = stack.handle(Input::BadFrame {
+                from: Some(NodeAddr(2)),
+                error: checksum_err(),
+            });
+        };
+        bad(&mut stack);
+        bad(&mut stack);
+        stack.reset_metrics();
+        assert_eq!(stack.obs_registry().counter_sum("bad_frames_total"), 0);
+        // The reset cleared counters only: the third frame of the burst
+        // still crosses the threshold.
+        bad(&mut stack);
+        assert_eq!(
+            stack.chord().health().peek(peer.id),
+            SuspicionLevel::Suspect
+        );
+        assert_eq!(count(&stack, "bad_frame_suspects_total", "chord"), 1);
     }
 
     #[test]
@@ -1408,9 +1336,9 @@ mod tests {
                 error: checksum_err(),
             });
         }
-        assert_eq!(stack.bad_frames_total(), 20);
-        assert_eq!(stack.bad_frame_count("truncated"), 10);
-        assert_eq!(stack.bad_frame_suspects(), 0);
+        assert_eq!(stack.obs_registry().counter_sum("bad_frames_total"), 20);
+        assert_eq!(count(&stack, "bad_frames_total", "truncated"), 10);
+        assert_eq!(count(&stack, "bad_frame_suspects_total", "chord"), 0);
         assert_eq!(
             stack.chord().health().peek(peer.id),
             SuspicionLevel::Healthy
@@ -1441,7 +1369,7 @@ mod tests {
                 error: checksum_err(),
             });
         }
-        assert_eq!(stack.bad_frame_suspects(), 0);
+        assert_eq!(count(&stack, "bad_frame_suspects_total", "chord"), 0);
         // A spray of spoofed sources stays bounded at max_tracked.
         for i in 0..100u64 {
             let _ = stack.handle(Input::BadFrame {
@@ -1484,7 +1412,7 @@ mod tests {
             stack.chord().health().peek(peer.id),
             SuspicionLevel::Quarantined
         );
-        assert_eq!(stack.chord().health().quarantines, 1);
+        assert_eq!(count(&stack, "quarantines_total", "chord"), 1);
         // Quarantine served + the peer talking again → it rejoins.
         now += 6_000;
         stack.set_now(now);
@@ -1496,6 +1424,6 @@ mod tests {
             stack.chord().health().peek(peer.id),
             SuspicionLevel::Healthy
         );
-        assert_eq!(stack.chord().health().rejoins, 1);
+        assert_eq!(count(&stack, "rejoins_total", "chord"), 1);
     }
 }

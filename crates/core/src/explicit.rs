@@ -475,7 +475,7 @@ impl AppProtocol for ExplicitProtocol {
                 self.metrics.count_received_kind(m.kind());
                 self.on_msg(cx, m);
             }
-            Err(_) => self.metrics.dropped += 1,
+            Err(_) => self.metrics.inc("dropped_total"),
         }
     }
 
@@ -499,7 +499,7 @@ impl AppProtocol for ExplicitProtocol {
                 self.metrics.count_received_kind(m.kind());
                 self.on_msg(cx, m);
             }
-            Err(_) => self.metrics.dropped += 1,
+            Err(_) => self.metrics.inc("dropped_total"),
         }
     }
 
@@ -517,10 +517,6 @@ impl AppProtocol for ExplicitProtocol {
             self.metrics.count_sent_kind(leave.kind());
             cx.send(c, leave.encode());
         }
-    }
-
-    fn reset_metrics(&mut self) {
-        self.metrics.reset();
     }
 
     fn metrics(&self) -> Option<&Metrics> {

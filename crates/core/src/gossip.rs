@@ -203,7 +203,7 @@ impl AppProtocol for GossipProtocol {
                 self.sum += s.sum;
                 self.weight += s.weight;
             }
-            Err(_) => self.metrics.dropped += 1,
+            Err(_) => self.metrics.inc("dropped_total"),
         }
     }
 
@@ -213,10 +213,6 @@ impl AppProtocol for GossipProtocol {
             self.on_round(cx);
             self.arm_round(cx);
         }
-    }
-
-    fn reset_metrics(&mut self) {
-        self.metrics.reset();
     }
 
     fn metrics(&self) -> Option<&Metrics> {

@@ -501,7 +501,7 @@ impl AppProtocol for MaanProtocol {
                 self.metrics.count_received_kind(m.kind());
                 self.on_msg(cx, m);
             }
-            Err(_) => self.metrics.dropped += 1,
+            Err(_) => self.metrics.inc("dropped_total"),
         }
     }
 
@@ -511,12 +511,8 @@ impl AppProtocol for MaanProtocol {
                 self.metrics.count_received_kind(m.kind());
                 self.on_msg(cx, m);
             }
-            Err(_) => self.metrics.dropped += 1,
+            Err(_) => self.metrics.inc("dropped_total"),
         }
-    }
-
-    fn reset_metrics(&mut self) {
-        self.metrics.reset();
     }
 
     fn metrics(&self) -> Option<&Metrics> {

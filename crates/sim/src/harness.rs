@@ -367,7 +367,10 @@ mod tests {
         ids.sort_unstable();
         assert_eq!(ids.len(), 8, "with retries every node joins despite loss");
         assert!(ring_converged(&net, &ids), "lossy ring still closes");
-        let retransmits: u64 = net.iter_nodes().map(|(_, n)| n.metrics().retransmits).sum();
+        let retransmits: u64 = net
+            .iter_nodes()
+            .map(|(_, n)| n.metrics().get("retransmits_total"))
+            .sum();
         assert!(retransmits > 0, "20% loss must exercise the RTO path");
 
         let net = build(0);

@@ -6,7 +6,7 @@
 
 use libdat::chord::{ChordConfig, IdPolicy, IdSpace, RoutingScheme, StaticRing};
 use libdat::core::{
-    AggFunc, AggregationMode, DatConfig, DatEvent, DatProtocol, StackNode, DAT_PROTO,
+    proto_label, AggFunc, AggregationMode, DatConfig, DatEvent, DatProtocol, StackNode, DAT_PROTO,
 };
 use libdat::maan::{MaanEvent, MaanProtocol, MaanStack, Resource, MAAN_PROTO};
 use libdat::monitor::grid_schemas;
@@ -15,6 +15,11 @@ use rand::SeedableRng;
 
 const BITS: u8 = 32;
 const N: usize = 64;
+
+/// One engine counter of `node`, for `proto`'s layer.
+fn engine_count(node: &StackNode, name: &str, proto: u8) -> u64 {
+    node.obs_registry().counter_with(name, proto_label(proto))
+}
 
 #[test]
 fn one_stack_runs_aggregation_and_discovery_concurrently() {
@@ -121,7 +126,7 @@ fn one_stack_runs_aggregation_and_discovery_concurrently() {
     let addrs = net.addrs();
     let dat_senders = addrs
         .iter()
-        .filter(|&&a| net.node(a).unwrap().proto_sent(DAT_PROTO) > 0)
+        .filter(|&&a| engine_count(net.node(a).unwrap(), "engine_sent_total", DAT_PROTO) > 0)
         .count();
     assert!(
         dat_senders >= N - 1,
@@ -129,11 +134,11 @@ fn one_stack_runs_aggregation_and_discovery_concurrently() {
     );
     let maan_sent: u64 = addrs
         .iter()
-        .map(|&a| net.node(a).unwrap().proto_sent(MAAN_PROTO))
+        .map(|&a| engine_count(net.node(a).unwrap(), "engine_sent_total", MAAN_PROTO))
         .sum();
     let maan_recv: u64 = addrs
         .iter()
-        .map(|&a| net.node(a).unwrap().proto_received(MAAN_PROTO))
+        .map(|&a| engine_count(net.node(a).unwrap(), "engine_received_total", MAAN_PROTO))
         .sum();
     assert!(maan_sent > 0, "the walk produced MAAN-tagged messages");
     assert_eq!(maan_sent, maan_recv, "MAAN books balance at quiescence");
@@ -147,12 +152,12 @@ fn one_stack_runs_aggregation_and_discovery_concurrently() {
     let dat_total: u64 = net
         .addrs()
         .iter()
-        .map(|&a| net.node(a).unwrap().proto_sent(DAT_PROTO))
+        .map(|&a| engine_count(net.node(a).unwrap(), "engine_sent_total", DAT_PROTO))
         .sum();
     let maan_total: u64 = net
         .addrs()
         .iter()
-        .map(|&a| net.node(a).unwrap().proto_sent(MAAN_PROTO))
+        .map(|&a| engine_count(net.node(a).unwrap(), "engine_sent_total", MAAN_PROTO))
         .sum();
     assert!(dat_total > 0, "continuous aggregation keeps running");
     assert_eq!(maan_total, 0, "idle MAAN sends nothing");

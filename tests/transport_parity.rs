@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use libdat::chord::{ChordConfig, HealthConfig, Id, IdSpace, NodeAddr, NodeStatus, SuspicionLevel};
 use libdat::cluster::ClusterHost;
 use libdat::core::{
-    AggFunc, AggregationMode, DatConfig, DatEvent, DatProtocol, StackNode, DAT_PROTO,
+    proto_label, AggFunc, AggregationMode, DatConfig, DatEvent, DatProtocol, StackNode, DAT_PROTO,
 };
 use libdat::maan::{MaanEvent, MaanProtocol, MaanStack, Resource};
 use libdat::monitor::grid_schemas;
@@ -114,8 +114,10 @@ fn health_shed_snapshot(node: &StackNode) -> (u64, Vec<u8>) {
             SuspicionLevel::Quarantined => 2,
         });
     }
-    buf.extend_from_slice(&node.shed_count(DAT_PROTO).to_le_bytes());
-    buf.extend_from_slice(&node.stats_shed_count().to_le_bytes());
+    let reg = node.obs_registry();
+    for layer in [proto_label(DAT_PROTO), "stats"] {
+        buf.extend_from_slice(&reg.counter_with("engine_shed_total", layer).to_le_bytes());
+    }
     (me, buf)
 }
 
@@ -426,13 +428,13 @@ fn hostile_health_cfg() -> HealthConfig {
 }
 
 fn hostile_verdict(node: &StackNode, attacker: Id, query_count: u64) -> HostileVerdict {
-    let health = node.chord().health();
+    let reg = node.obs_registry();
     HostileVerdict {
-        detected: node.bad_frames_total() > 0,
-        suspected: node.bad_frame_suspects() > 0,
-        quarantined: health.quarantines >= 1,
-        rejoined: health.rejoins >= 1,
-        attacker_finally_healthy: health.peek(attacker) == SuspicionLevel::Healthy,
+        detected: reg.counter_sum("bad_frames_total") > 0,
+        suspected: reg.counter_sum("bad_frame_suspects_total") > 0,
+        quarantined: reg.counter_sum("quarantines_total") >= 1,
+        rejoined: reg.counter_sum("rejoins_total") >= 1,
+        attacker_finally_healthy: node.chord().health().peek(attacker) == SuspicionLevel::Healthy,
         query_count,
     }
 }
@@ -528,7 +530,9 @@ fn hostile_over_udp() -> HostileVerdict {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let quarantines = cluster
-            .call(victim, |n| (n.chord().health().quarantines, vec![]))
+            .call(victim, |n| {
+                (n.obs_registry().counter_sum("quarantines_total"), vec![])
+            })
             .unwrap();
         if quarantines >= 1 {
             break;
@@ -551,7 +555,7 @@ fn hostile_over_udp() -> HostileVerdict {
             .call(victim, move |n| {
                 (
                     (
-                        n.chord().health().rejoins,
+                        n.obs_registry().counter_sum("rejoins_total"),
                         n.chord().health().peek(attacker_id),
                     ),
                     vec![],
