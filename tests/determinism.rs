@@ -17,6 +17,12 @@ fn fingerprint(seed: u64) -> Fingerprint {
 }
 
 fn fingerprint_on(seed: u64, scheduler: SchedulerKind) -> Fingerprint {
+    fingerprint_with(seed, scheduler, &["cpu-usage"])
+}
+
+/// [`fingerprint_on`] with one continuous aggregation per name in
+/// `attrs` registered on every node; reports come from each key's root.
+fn fingerprint_with(seed: u64, scheduler: SchedulerKind, attrs: &[&str]) -> Fingerprint {
     let space = IdSpace::new(32);
     let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
     let ring = StaticRing::build(space, 96, IdPolicy::Probed, &mut rng);
@@ -52,11 +58,18 @@ fn fingerprint_on(seed: u64, scheduler: SchedulerKind) -> Fingerprint {
     net.set_loss(LossModel::new(0.02));
     net.set_record_upcalls(false);
     let book = addr_book(&ring);
-    let mut key = libdat::chord::Id(0);
+    let mut keys = Vec::new();
     for (i, &id) in ring.ids().iter().enumerate() {
         let node = net.node_mut(book[&id]).unwrap();
-        key = node.register("cpu-usage", AggregationMode::Continuous);
-        node.set_local(key, (i * 3) as f64);
+        keys = attrs
+            .iter()
+            .enumerate()
+            .map(|(j, attr)| {
+                let key = node.register(attr, AggregationMode::Continuous);
+                node.set_local(key, (i * 3 + j) as f64);
+                key
+            })
+            .collect();
     }
     net.run_for(20_000);
     let traffic: Vec<(u64, u64)> = net
@@ -67,17 +80,20 @@ fn fingerprint_on(seed: u64, scheduler: SchedulerKind) -> Fingerprint {
             (s.sent, s.delivered)
         })
         .collect();
-    let root = book[&ring.successor(key)];
-    let reports: Vec<(u64, u64)> = net
-        .node_mut(root)
-        .unwrap()
-        .take_events()
-        .into_iter()
-        .filter_map(|e| match e {
-            DatEvent::Report { epoch, partial, .. } => Some((epoch, partial.count)),
-            _ => None,
-        })
-        .collect();
+    let mut reports: Vec<(u64, u64)> = Vec::new();
+    for key in keys {
+        let root = book[&ring.successor(key)];
+        reports.extend(
+            net.node_mut(root)
+                .unwrap()
+                .take_events()
+                .into_iter()
+                .filter_map(|e| match e {
+                    DatEvent::Report { epoch, partial, .. } => Some((epoch, partial.count)),
+                    _ => None,
+                }),
+        );
+    }
     (net.events_processed(), net.dropped, traffic, reports)
 }
 
@@ -85,6 +101,20 @@ fn fingerprint_on(seed: u64, scheduler: SchedulerKind) -> Fingerprint {
 fn same_seed_reproduces_everything() {
     let a = fingerprint(0xDEAD);
     let b = fingerprint(0xDEAD);
+    assert_eq!(a.0, b.0, "events processed");
+    assert_eq!(a.1, b.1, "messages dropped");
+    assert_eq!(a.2, b.2, "per-node traffic");
+    assert_eq!(a.3, b.3, "root reports");
+}
+
+#[test]
+fn multi_key_run_repeats_in_one_process() {
+    // With several aggregations per node, the epoch walk over them — and
+    // each key's merge over its children — must not follow hash-map
+    // order, which differs between two map instances even in one process.
+    let attrs = ["cpu-usage", "mem-free", "disk-io"];
+    let a = fingerprint_with(7, SchedulerKind::Wheel, &attrs);
+    let b = fingerprint_with(7, SchedulerKind::Wheel, &attrs);
     assert_eq!(a.0, b.0, "events processed");
     assert_eq!(a.1, b.1, "messages dropped");
     assert_eq!(a.2, b.2, "per-node traffic");
