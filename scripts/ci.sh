@@ -19,7 +19,9 @@ echo "==> clippy: unwrap_used denied in self-healing + observability + health mo
 # hostile input, and the async cluster host + its bins (PR 9) must never
 # panic a 1k-node fleet, and the multi-core engine (PR 10) must never
 # panic a worker thread mid-barrier (a poisoned barrier deadlocks the
-# other shards); the modules opt in via
+# other shards), and the per-node counting and request path (chord
+# metrics, the Chord node, the stack engine) runs on every message and
+# must never panic either; the modules opt in via
 # #![deny(clippy::unwrap_used)] and this check keeps the attribute from
 # being dropped silently.
 for f in crates/sim/src/soak.rs crates/bench/src/experiments/degradation.rs \
@@ -28,7 +30,9 @@ for f in crates/sim/src/soak.rs crates/bench/src/experiments/degradation.rs \
          crates/sim/src/scale.rs crates/chord/src/wire.rs \
          crates/sim/src/fuzz.rs crates/sim/src/corrupt.rs \
          crates/cluster/src/lib.rs crates/cluster/src/bin/clusterd.rs \
-         crates/cluster/src/bin/clusterbench.rs crates/sim/src/shard.rs; do
+         crates/cluster/src/bin/clusterbench.rs crates/sim/src/shard.rs \
+         crates/chord/src/metrics.rs crates/chord/src/node.rs \
+         crates/core/src/engine.rs; do
   grep -q '#!\[deny(clippy::unwrap_used)\]' "$f" \
     || { echo "missing #![deny(clippy::unwrap_used)] in $f"; exit 1; }
 done
